@@ -17,7 +17,7 @@ int main() {
   set_log_threshold(LogLevel::kWarn);
   banner("Ablation: bootstrap Gamma", "BAO with 1/2/4/8 resampled sets");
 
-  const GpuSpec spec = GpuSpec::gtx1080ti();
+  const TargetSpec spec = make_target("gpu-pascal");
   const auto tasks = extract_tasks(fuse(make_mobilenet_v1()));
   const Workload workloads[] = {tasks[0].workload, tasks[2].workload};
 

@@ -31,7 +31,7 @@ int main() {
   set_log_threshold(LogLevel::kWarn);
   banner("Ablation: BTED initialization", "random vs TED vs BTED variants");
 
-  const GpuSpec spec = GpuSpec::gtx1080ti();
+  const TargetSpec spec = make_target("gpu-pascal");
   const auto tasks = extract_tasks(fuse(make_mobilenet_v1()));
   const Workload w = tasks[0].workload;
   std::printf("task: %s\n\n", w.brief().c_str());

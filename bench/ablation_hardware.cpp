@@ -25,15 +25,17 @@ int main() {
   options.budget = std::min<std::int64_t>(budget(), 512);
   options.early_stopping = 400;
 
-  const GpuSpec gpus[] = {GpuSpec::gtx1080ti(), GpuSpec::v100(),
-                          GpuSpec::small_embedded()};
+  const TargetSpec gpus[] = {make_target("gpu-pascal"),
+                             make_target("gpu-volta"),
+                             make_target("gpu-embedded")};
   const auto arms = paper_arms();
 
   TextTable table;
   table.set_header({"GPU", "peak GFLOPS", "AutoTVM", "BTED", "BTED+BAO"});
   std::uint64_t salt = 1;
-  for (const GpuSpec& gpu : gpus) {
-    std::vector<std::string> row{gpu.name, format_double(gpu.peak_gflops(), 0)};
+  for (const TargetSpec& gpu : gpus) {
+    std::vector<std::string> row{gpu.device_name,
+                                 format_double(gpu.peak_gflops(), 0)};
     for (const auto& arm : arms) {
       const TaskOutcome outcome =
           run_task(w, gpu, arm.factory, options, trials(), salt++);

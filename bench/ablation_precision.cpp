@@ -26,7 +26,8 @@ int main() {
   TextTable table;
   table.set_header({"GPU", "dtype", "best GFLOP(eq)/s", "vs fp32"});
   std::uint64_t salt = 1;
-  for (const GpuSpec& gpu : {GpuSpec::gtx1080ti(), GpuSpec::v100()}) {
+  for (const TargetSpec& gpu :
+       {make_target("gpu-pascal"), make_target("gpu-volta")}) {
     double fp32_baseline = 0.0;
     for (DType dtype : {DType::kFloat32, DType::kFloat16, DType::kInt8}) {
       conv.dtype = dtype;
@@ -35,7 +36,7 @@ int main() {
           w, gpu, bted_bao_tuner_factory(), options, trials(), salt++);
       if (dtype == DType::kFloat32) fp32_baseline = outcome.mean_true_gflops;
       table.add_row(
-          {gpu.name, dtype_name(dtype),
+          {gpu.device_name, dtype_name(dtype),
            format_double(outcome.mean_true_gflops, 1),
            format_double(outcome.mean_true_gflops / fp32_baseline, 2) + "x"});
     }

@@ -85,7 +85,7 @@ struct TaskOutcome {
 /// Each trial drives a TuningSession over `backend` (serial when null);
 /// since measurement noise is counter-based the backend never changes the
 /// numbers, only the wall-clock.
-inline TaskOutcome run_task(const Workload& workload, const GpuSpec& spec,
+inline TaskOutcome run_task(const Workload& workload, const TargetSpec& spec,
                             const TunerFactory& factory,
                             const TuneOptions& base_options, int num_trials,
                             std::uint64_t salt,

@@ -19,7 +19,7 @@ using namespace aal::bench;
 
 /// Average running-best curve over trials, padded with the final value when
 /// a trial early-stops before the budget.
-std::vector<double> mean_curve(const Workload& workload, const GpuSpec& spec,
+std::vector<double> mean_curve(const Workload& workload, const TargetSpec& spec,
                                const TunerFactory& factory,
                                std::int64_t budget_points, int num_trials,
                                std::uint64_t salt) {
@@ -57,7 +57,7 @@ int main() {
   set_log_threshold(LogLevel::kWarn);
   banner("Fig. 4", "convergence on MobileNet-v1 layers 1 and 2");
 
-  const GpuSpec spec = GpuSpec::gtx1080ti();
+  const TargetSpec spec = make_target("gpu-pascal");
   const auto tasks = extract_tasks(fuse(make_mobilenet_v1()));
   const Workload layer1 = tasks[0].workload;  // conv2d 3x224x224 -> 32
   const Workload layer2 = tasks[1].workload;  // depthwise 32x112x112

@@ -24,7 +24,7 @@ int main() {
   set_log_threshold(LogLevel::kWarn);
   banner("Fig. 5", "19 MobileNet-v1 tasks: #configs and GFLOPS vs AutoTVM");
 
-  const GpuSpec spec = GpuSpec::gtx1080ti();
+  const TargetSpec spec = make_target("gpu-pascal");
   const auto all_tasks = extract_tasks(fuse(make_mobilenet_v1()));
   std::vector<Workload> conv_tasks;
   for (const auto& t : all_tasks) {
@@ -77,7 +77,9 @@ int main() {
   for (std::size_t ti = 0; ti < conv_tasks.size(); ++ti) {
     const std::vector<TaskOutcome>& row = outcomes[ti];
     const double base = row[0].mean_true_gflops;
-    table.add_row({"T" + std::to_string(ti + 1), conv_tasks[ti].brief(),
+    std::string label = "T";
+    label += std::to_string(ti + 1);
+    table.add_row({label, conv_tasks[ti].brief(),
                    format_double(row[0].mean_configs, 0),
                    format_double(row[1].mean_configs, 0),
                    format_double(row[2].mean_configs, 0),

@@ -21,7 +21,7 @@ using namespace aal;
 const TuningTask& mobilenet_t1() {
   static const TuningTask task = [] {
     const auto tasks = extract_tasks(fuse(make_mobilenet_v1()));
-    return TuningTask(tasks[0].workload, GpuSpec::gtx1080ti());
+    return TuningTask(tasks[0].workload, make_target("gpu-pascal"));
   }();
   return task;
 }
@@ -146,7 +146,7 @@ BENCHMARK(BM_Neighborhood);
 
 void BM_SimulatedMeasurement(benchmark::State& state) {
   const TuningTask& task = mobilenet_t1();
-  SimulatedDevice device(GpuSpec::gtx1080ti(), 8);
+  SimulatedDevice device(make_target("gpu-pascal"), 8);
   Rng rng(8);
   const Config c = task.space().sample(rng);
   const KernelProfile profile = task.profile(c);

@@ -10,6 +10,7 @@
 #include "graph/models.hpp"
 #include "space/schedule_template.hpp"
 #include "support/string_util.hpp"
+#include "space/template_registry.hpp"
 
 int main() {
   using namespace aal;
@@ -31,7 +32,8 @@ int main() {
     TextTable table;
     table.set_header({"task", "layers", "space size", "feature dim"});
     for (std::size_t i = 0; i < tasks.size(); ++i) {
-      const ConfigSpace space = build_config_space(tasks[i].workload);
+      const ConfigSpace space =
+          TemplateRegistry::instance().build(tasks[i].workload, TargetSpec{});
       table.add_row({tasks[i].workload.brief(),
                      std::to_string(tasks[i].count()),
                      format_count(space.size()),

@@ -22,7 +22,7 @@ struct ArmResult {
   double variance = 0.0;
 };
 
-ArmResult evaluate_arm(const Graph& model, const GpuSpec& spec,
+ArmResult evaluate_arm(const Graph& model, const TargetSpec& spec,
                        const TunerFactory& factory, std::uint64_t salt) {
   ArmResult total;
   const LatencyEvaluator evaluator(model, spec);
@@ -53,7 +53,7 @@ int main() {
   set_log_threshold(LogLevel::kWarn);
   banner("Table I", "end-to-end model latency and variance, 3 algorithms");
 
-  const GpuSpec spec = GpuSpec::gtx1080ti();
+  const TargetSpec spec = make_target("gpu-pascal");
   const auto arms = paper_arms();
 
   TextTable table;

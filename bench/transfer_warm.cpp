@@ -160,7 +160,8 @@ TimedTune timed_tune(const Graph& g, const TuneShape& shape,
   options.transfer.enabled = transfer;
   const auto t0 = std::chrono::steady_clock::now();
   const ModelTuneReport report =
-      tune_model(g, GpuSpec::gtx1080ti(), bted_bao_tuner_factory(), options);
+      tune_model(g, make_target("gpu-pascal"), bted_bao_tuner_factory(),
+                 options);
   const auto t1 = std::chrono::steady_clock::now();
   if (transfer) {
     const std::int64_t tasks = static_cast<std::int64_t>(report.tasks.size());
@@ -192,7 +193,7 @@ double timed_prior_build(const RecordStore& store) {
   w.kernel_w = 3;
   w.pad_h = 1;
   w.pad_w = 1;
-  const TuningTask task(Workload::conv2d(w), GpuSpec::gtx1080ti());
+  const TuningTask task(Workload::conv2d(w), make_target("gpu-pascal"));
   TransferParams params;
   params.enabled = true;
   const auto t0 = std::chrono::steady_clock::now();

@@ -1,4 +1,4 @@
-// Tuner shoot-out on one layer: random, grid, GA, AutoTVM (XGB+SA), BTED
+// Tuner shoot-out on one layer: random, GA, AutoTVM (XGB+SA), BTED
 // and BTED+BAO share the same budget and measurement-noise stream, then
 // report measured best, true (noise-free) best and budget spent.
 //
@@ -14,9 +14,7 @@
 #include "pipeline/model_tuner.hpp"
 #include "support/logging.hpp"
 #include "support/string_util.hpp"
-#include "tuner/chameleon_tuner.hpp"
 #include "tuner/ga_tuner.hpp"
-#include "tuner/grid_tuner.hpp"
 #include "tuner/random_tuner.hpp"
 #include "tuner/xgb_tuner.hpp"
 
@@ -29,7 +27,7 @@ int main(int argc, char** argv) {
   // The layer: VGG-16's conv3-256 (a mid-size, compute-bound kernel).
   const auto tasks = extract_tasks(fuse(make_vgg16()));
   Workload workload = tasks[4].workload;
-  const GpuSpec gpu = GpuSpec::gtx1080ti();
+  const TargetSpec gpu = make_target("gpu-pascal");
   std::printf("layer: %s\n", workload.brief().c_str());
   std::printf("budget: %lld configurations, early stopping disabled\n\n",
               static_cast<long long>(budget));
@@ -38,19 +36,17 @@ int main(int argc, char** argv) {
     const char* label;
     std::unique_ptr<Tuner> tuner;
   };
-  Arm arms[7];
+  Arm arms[5];
   arms[0] = {"random", std::make_unique<RandomTuner>()};
-  arms[1] = {"grid", std::make_unique<GridTuner>()};
-  arms[2] = {"ga", std::make_unique<GaTuner>()};
-  arms[3] = {"autotvm (xgb+sa)", std::make_unique<XgbTuner>()};
-  arms[4] = {"chameleon-style", std::make_unique<ChameleonTuner>()};
+  arms[1] = {"ga", std::make_unique<GaTuner>()};
+  arms[2] = {"autotvm (xgb+sa)", std::make_unique<XgbTuner>()};
   {
     auto bted = std::make_unique<XgbTuner>(
         std::make_shared<GbdtSurrogateFactory>(), bted_init_sampler());
     bted->set_name("bted");
-    arms[5] = {"bted init + xgb", std::move(bted)};
+    arms[3] = {"bted init + xgb", std::move(bted)};
   }
-  arms[6] = {"bted + bao", std::make_unique<AdvancedActiveLearningTuner>()};
+  arms[4] = {"bted + bao", std::make_unique<AdvancedActiveLearningTuner>()};
 
   TextTable table;
   table.set_header(

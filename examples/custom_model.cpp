@@ -59,15 +59,15 @@ int main(int argc, char** argv) {
 
   TextTable table;
   table.set_header({"GPU", "tuned latency (ms)", "fallback (ms)", "speedup"});
-  for (const GpuSpec& gpu :
-       {GpuSpec::small_embedded(), GpuSpec::gtx1080ti()}) {
+  for (const TargetSpec& gpu :
+       {make_target("gpu-embedded"), make_target("gpu-pascal")}) {
     const ModelTuneReport report =
         tune_model(model, gpu, bted_bao_tuner_factory(), options);
     const LatencyEvaluator evaluator(model, gpu);
     const double fallback = evaluator.deterministic_latency_ms({});
     const double tuned =
         evaluator.deterministic_latency_ms(report.best_flat_by_task());
-    table.add_row({gpu.name, format_double(tuned, 4),
+    table.add_row({gpu.device_name, format_double(tuned, 4),
                    format_double(fallback, 4),
                    format_double(fallback / tuned, 2) + "x"});
   }

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   // 1. A model graph. Embedders can build graphs programmatically (see
   //    examples/custom_model.cpp) or pull one from the zoo.
   const Graph model = make_model("squeezenet_v11");
-  const GpuSpec gpu = GpuSpec::gtx1080ti();
+  const TargetSpec gpu = make_target("gpu-pascal");
 
   // 2. A persistent record store shared across runs.
   const std::string store_dir =
@@ -48,8 +48,9 @@ int main(int argc, char** argv) {
   std::printf("tuned %zu tasks, %lld configs measured this run, "
               "%lld adopted from the store\n",
               report.tasks.size(),
-              metrics.counter("measure.configs_measured").value(),
-              metrics.counter("store.hits").value());
+              static_cast<long long>(
+                  metrics.counter("measure.configs_measured").value()),
+              static_cast<long long>(metrics.counter("store.hits").value()));
 
   // 4. Query the best configurations (this is what a deployment pipeline
   //    consumes) and estimate end-to-end latency.

@@ -31,7 +31,7 @@ int main() {
   const Workload workload = Workload::conv2d(conv);
 
   // 2. Bind it to the hardware model: workload -> config space + simulator.
-  const GpuSpec gpu = GpuSpec::gtx1080ti();
+  const TargetSpec gpu = make_target("gpu-pascal");
   TuningTask task(workload, gpu);
   std::printf("workload: %s\n", workload.brief().c_str());
   std::printf("config space: %lld points across %zu knobs\n",

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   set_log_threshold(LogLevel::kWarn);
 
   const std::int64_t budget = argc > 1 ? std::atoll(argv[1]) : 200;
-  const GpuSpec gpu = GpuSpec::gtx1080ti();
+  const TargetSpec gpu = make_target("gpu-pascal");
   const Graph model = make_mobilenet_v1();
   std::printf("model: %s, %zu nodes, %.2f GFLOPs per inference\n",
               model.name().c_str(), model.size(),
@@ -39,7 +39,9 @@ int main(int argc, char** argv) {
   table.set_header({"task", "workload", "layers", "configs", "best GFLOPS"});
   for (std::size_t i = 0; i < report.tasks.size(); ++i) {
     const auto& t = report.tasks[i];
-    table.add_row({"T" + std::to_string(i + 1), t.workload.brief(),
+    std::string label = "T";
+    label += std::to_string(i + 1);
+    table.add_row({label, t.workload.brief(),
                    std::to_string(t.group_count),
                    std::to_string(t.result.num_measured),
                    format_double(t.result.best_gflops(), 1)});

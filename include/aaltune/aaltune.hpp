@@ -11,9 +11,10 @@
 // -> tune with a store -> query best configs.
 //
 // Embedders should prefer this header over reaching into src/ internals:
-// everything here is the supported surface, and SessionOptions
-// (measure/session_options.hpp) is the shared knob vocabulary every options
-// struct composes.
+// everything here is the supported surface. Each run setting has one home:
+// TuneOptions (policy loop), MeasureOptions (measurer) and ModelTuneOptions
+// (model pipeline) each document the fields they read. Targets come from
+// make_target(name); TargetSpec::from_gpu wraps a custom GpuSpec.
 #pragma once
 
 // Support: errors (aal::Error hierarchy), logging, RNG.
@@ -41,10 +42,9 @@
 #include "hwsim/target.hpp"
 #include "space/config_space.hpp"
 
-// Measurement: shared session knobs, tasks, measurer, record logs.
+// Measurement: tasks, measurer, record logs.
 #include "measure/measure.hpp"
 #include "measure/record.hpp"
-#include "measure/session_options.hpp"
 #include "measure/tuning_task.hpp"
 
 // Tuners: the ask/tell policy interface, sessions, and the paper's

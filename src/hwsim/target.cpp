@@ -172,30 +172,24 @@ double TargetSpec::launch_overhead_us() const {
 }
 
 TargetSpec TargetSpec::from_gpu(const GpuSpec& spec) {
-  TargetSpec t;
-  t.kind = TargetKind::kGpu;
-  t.gpu = spec;
-  t.device_name = spec.name;
-  const std::string device = spec.name;
-  if (device == "GeForce GTX 1080 Ti") {
-    t.name = "gpu-pascal";
-  } else if (device == "Tesla V100") {
-    t.name = "gpu-volta";
-  } else if (device == "small-embedded") {
-    t.name = "gpu-embedded";
-  } else {
-    // Fingerprint-qualified: distinct custom machines get distinct names
-    // (and therefore distinct "@target"-qualified store keys). The bare
-    // "gpu-custom" of earlier releases made every unknown GPU share one
-    // key namespace, leaking records — and transfer priors — across
-    // unrelated machines.
-    char suffix[20];
-    std::snprintf(suffix, sizeof(suffix), "%08llx",
-                  static_cast<unsigned long long>(
-                      gpu_spec_fingerprint(spec) & 0xFFFFFFFFULL));
-    t.name = std::string("gpu-custom-") + suffix;
+  // A registry name only for a spec identical to the registered one: a
+  // GTX 1080 Ti with a different bandwidth is a different machine, and
+  // sharing "gpu-pascal" would mix its records into the real Pascal's.
+  const std::uint64_t fingerprint = gpu_spec_fingerprint(spec);
+  for (const RegistryEntry& entry : kRegistry) {
+    TargetSpec t = entry.make();
+    if (t.kind == TargetKind::kGpu &&
+        gpu_spec_fingerprint(t.gpu) == fingerprint) {
+      return t;
+    }
   }
-  return t;
+  // Fingerprint-qualified: distinct custom machines get distinct names (and
+  // therefore distinct "@target"-qualified store keys), so records and
+  // transfer priors never leak across unrelated machines.
+  char suffix[20];
+  std::snprintf(suffix, sizeof(suffix), "%08llx",
+                static_cast<unsigned long long>(fingerprint & 0xFFFFFFFFULL));
+  return make_gpu_target((std::string("gpu-custom-") + suffix).c_str(), spec);
 }
 
 const std::vector<std::string>& target_names() {

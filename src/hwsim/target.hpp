@@ -136,12 +136,13 @@ struct TargetSpec {
   /// Per-kernel launch/dispatch overhead of the active backend in us.
   double launch_overhead_us() const;
 
-  /// Wraps a raw GpuSpec as a GPU target (compatibility path for the many
-  /// call sites that still speak GpuSpec). Known specs map back to their
-  /// registry names; unknown ones get a fingerprint-qualified name
-  /// ("gpu-custom-xxxxxxxx" over the spec's fields) so two distinct custom
-  /// machines never share a store key namespace — a shared name would leak
-  /// tuning records and transfer priors across unrelated hardware.
+  /// Wraps a custom GpuSpec as a GPU target — the one GpuSpec -> TargetSpec
+  /// entry point (registered machines come from make_target). A spec equal
+  /// in every field to a registered GPU maps back to its registry name; any
+  /// other gets a fingerprint-qualified name ("gpu-custom-xxxxxxxx" over the
+  /// spec's fields) so two distinct machines never share a store key
+  /// namespace — a shared name would leak tuning records and transfer
+  /// priors across unrelated hardware.
   static TargetSpec from_gpu(const GpuSpec& spec);
 };
 

@@ -98,6 +98,10 @@ std::string Workload::key() const {
   return os.str();
 }
 
+std::ostream& operator<<(std::ostream& os, const Workload& w) {
+  return os << w.key();
+}
+
 std::string Workload::brief() const {
   std::ostringstream os;
   if (is_conv()) {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 
 #include "tensor/shape.hpp"
@@ -123,5 +124,9 @@ class Workload {
   Conv2dWorkload conv_;
   DenseWorkload dense_;
 };
+
+/// Streams key(). Also what gtest prints for a Workload test parameter, in
+/// place of a raw byte dump whose padding bytes change from run to run.
+std::ostream& operator<<(std::ostream& os, const Workload& w);
 
 }  // namespace aal

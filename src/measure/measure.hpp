@@ -41,18 +41,43 @@
 #include "hwsim/device.hpp"
 #include "measure/backend.hpp"
 #include "measure/record.hpp"
-#include "measure/session_options.hpp"
 #include "measure/tuning_task.hpp"
 #include "obs/obs.hpp"
 
 namespace aal {
 
-/// Measurement-layer options. Composes the shared SessionOptions knobs
-/// (the Measurer honors `retry`; the other shared fields are inert here —
-/// budget accounting lives in the TuningSession, seeds in the Device).
-struct MeasureOptions : SessionOptions {
+/// How many device attempts a single configuration's measurement may
+/// consume, and how failures are classified along the way.
+struct RetryPolicy {
+  /// Total device attempts per config (1 = no retries, the historical
+  /// behavior). Transient failures retry until this cap.
+  int max_attempts = 1;
+  /// How many *permanent* failures (build errors) are observed before the
+  /// config is given up. 1 = trust the permanent classification (default);
+  /// larger values re-check — a config failing permanently that many times
+  /// is quarantined ("repeated permanents").
+  int permanent_tolerance = 1;
+  /// Simulated backoff before retry k (zero-based): base * 2^k microseconds.
+  /// Pure arithmetic — never wall-clock — so backoff accounting is
+  /// deterministic at any thread count.
+  double backoff_base_us = 100.0;
+
+  bool retries_enabled() const {
+    return max_attempts > 1 || permanent_tolerance > 1;
+  }
+
+  double backoff_us(int attempt) const {
+    return backoff_base_us * static_cast<double>(1LL << std::min(attempt, 40));
+  }
+};
+
+/// Measurement-layer options, read by the Measurer. Budget accounting lives
+/// in the TuningSession and the noise seed in the Device.
+struct MeasureOptions {
   /// Timing runs averaged per measurement (AutoTVM default-ish).
   int repeats = 3;
+  /// Retry and quarantine policy for failed attempts.
+  RetryPolicy retry;
 };
 
 /// One transient fault observed while measuring a config, recorded so the

@@ -35,9 +35,6 @@ LatencyEvaluator::LatencyEvaluator(const Graph& graph, TargetSpec target,
       template_request_(std::move(template_request)),
       fused_(fuse(graph)) {}
 
-LatencyEvaluator::LatencyEvaluator(const Graph& graph, const GpuSpec& spec)
-    : LatencyEvaluator(graph, TargetSpec::from_gpu(spec)) {}
-
 std::vector<LatencyEvaluator::KernelEntry> LatencyEvaluator::kernel_breakdown(
     const std::unordered_map<std::string, std::int64_t>& best_flat_by_task)
     const {

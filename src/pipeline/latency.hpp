@@ -45,10 +45,6 @@ class LatencyEvaluator {
   explicit LatencyEvaluator(const Graph& graph, TargetSpec target,
                             std::string template_request = std::string());
 
-  /// Compatibility: deploys to a raw GpuSpec (the historical single-backend
-  /// spelling).
-  LatencyEvaluator(const Graph& graph, const GpuSpec& spec);
-
   /// Deterministic (noise-free) latency with the given per-task configs.
   /// Tasks missing from the map fall back to the task-space default
   /// (flat 0) — mirroring TVM's untuned fallback schedule; invalid

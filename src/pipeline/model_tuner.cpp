@@ -254,7 +254,7 @@ ModelTuneReport tune_model(const Graph& graph, const TargetSpec& target,
     TuneOptions tune_options = options.tune;
     tune_options.seed = options.tune.seed * 7907 + task_index;
     tune_options.obs = obs;
-    if (options.cancel != nullptr) tune_options.cancel = options.cancel;
+    tune_options.cancel = options.cancel;
     if (options.measure_backend != nullptr) {
       tune_options.backend = options.measure_backend;
     }
@@ -302,7 +302,7 @@ ModelTuneReport tune_model(const Graph& graph, const TargetSpec& target,
 
   // Cooperative cancellation: a task that has not started when the flag is
   // raised is skipped (its report slot stays empty); the in-flight session
-  // stops itself at its next round boundary via SessionOptions::cancel.
+  // stops itself at its next round boundary via TuneOptions::cancel.
   const auto cancelled = [&options] {
     return options.cancel != nullptr &&
            options.cancel->load(std::memory_order_relaxed);
@@ -378,12 +378,6 @@ ModelTuneReport tune_model(const Graph& graph, const TargetSpec& target,
   return report;
 }
 
-ModelTuneReport tune_model(const Graph& graph, const GpuSpec& spec,
-                           const TunerFactory& factory,
-                           const ModelTuneOptions& options) {
-  return tune_model(graph, TargetSpec::from_gpu(spec), factory, options);
-}
-
 TuneResult tune_workload(const Workload& workload, const TargetSpec& target,
                          Tuner& tuner, const TuneOptions& options,
                          std::uint64_t device_seed,
@@ -392,23 +386,6 @@ TuneResult tune_workload(const Workload& workload, const TargetSpec& target,
   SimulatedDevice device(target, device_seed);
   Measurer measurer(task, device);
   return tuner.tune(measurer, options);
-}
-
-TuneResult tune_workload(const Workload& workload, const GpuSpec& spec,
-                         Tuner& tuner, const TuneOptions& options,
-                         std::uint64_t device_seed) {
-  return tune_workload(workload, TargetSpec::from_gpu(spec), tuner, options,
-                       device_seed);
-}
-
-TuneResult tune_workload(const Workload& workload, const TargetSpec& target,
-                         Tuner& tuner, const TuneOptions& options) {
-  return tune_workload(workload, target, tuner, options, options.device_seed);
-}
-
-TuneResult tune_workload(const Workload& workload, const GpuSpec& spec,
-                         Tuner& tuner, const TuneOptions& options) {
-  return tune_workload(workload, spec, tuner, options, options.device_seed);
 }
 
 }  // namespace aal

@@ -15,6 +15,8 @@
 // bitwise-identical to the jobs=1 run.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -73,13 +75,13 @@ struct ModelTuneReport {
   std::unordered_map<std::string, std::int64_t> best_flat_by_task() const;
 };
 
-/// Model-pipeline options. Composes the shared SessionOptions knobs: the
-/// pipeline honors `device_seed` (per-task noise seeds are derived from it),
-/// `faults` (per-task fault seeds likewise) and the `trace` / `metrics`
-/// sinks; the base's `seed`, `budget`, `early_stopping` and `retry` are
-/// inert here — per-task policy knobs come from `tune`, measurement knobs
-/// from `measure`.
-struct ModelTuneOptions : SessionOptions {
+/// Model-pipeline options, read by tune_model. Per-task policy knobs
+/// (budget, early stopping, batch size, num_initial) come from `tune`, and
+/// each task's policy seed derives from `tune.seed` and its model-order
+/// position; measurement knobs (repeats, retry) come from `measure`.
+/// tune_model overwrites each task's `tune.obs` and `tune.cancel` from the
+/// fields below, and `tune.backend` from `measure_backend` when that is set.
+struct ModelTuneOptions {
   TuneOptions tune;                  // per-task budget / early stopping
   bool use_transfer = true;          // share records across the model's tasks
   /// Optional tuning log from a previous session: each task's measurer is
@@ -124,23 +126,25 @@ struct ModelTuneOptions : SessionOptions {
   /// never changes what a run computes.
   MeasureBackend* measure_backend = nullptr;
 
-  // Inherited from SessionOptions (historical field names unchanged):
-  //   device_seed — measurement-noise stream
-  //   faults      — fault-injection plan: when active, every task's device
-  //                 is wrapped in a FaultyDevice with a per-task seed
-  //                 derived from faults.seed and the task's model-order
-  //                 position, deterministic at any jobs value
-  //   trace       — whole-run trace sink: with jobs > 1 each task buffers
-  //                 its events in a private MemoryTraceSink replayed in
-  //                 model order after the lanes join; serial runs execute
-  //                 tasks in model order and emit directly, so the sink sees
-  //                 live events and the final bytes are identical for every
-  //                 jobs value (non-owning; may be null)
-  //   metrics     — metrics registry shared by every task (may be null)
-  //   cancel      — cooperative cancellation flag: tasks not yet started are
-  //                 skipped, the running session stops at its next round
-  //                 boundary, and records measured so far still flush to a
-  //                 writable store (non-owning; may be null)
+  /// Measurement-noise stream: each task's device seed is derived from it
+  /// and the task's model-order position.
+  std::uint64_t device_seed = 1234;
+  /// Fault-injection plan: when active, every task's device is wrapped in a
+  /// FaultyDevice with a per-task seed derived from faults.seed and the
+  /// task's model-order position, deterministic at any jobs value.
+  FaultPlan faults;
+  /// Whole-run trace sink (non-owning; may be null). With jobs > 1 each
+  /// task buffers its events in a private MemoryTraceSink replayed in model
+  /// order after the lanes join; serial runs execute tasks in model order
+  /// and emit directly, so the sink sees live events and the final bytes
+  /// are identical for every jobs value.
+  TraceSink* trace = nullptr;
+  /// Metrics registry shared by every task (non-owning; may be null).
+  MetricsRegistry* metrics = nullptr;
+  /// Cooperative cancellation flag (non-owning; may be null): tasks not yet
+  /// started are skipped, the running session stops at its next round
+  /// boundary, and records measured so far still flush to a writable store.
+  const std::atomic<bool>* cancel = nullptr;
 };
 
 /// Tunes every task of `graph` with tuners from `factory` against `target`.
@@ -148,12 +152,6 @@ struct ModelTuneOptions : SessionOptions {
 /// space; tasks with constraints emit a `constraint_prune` trace event and
 /// bump `space.constraint_checked` / `space.constraint_pruned` metrics.
 ModelTuneReport tune_model(const Graph& graph, const TargetSpec& target,
-                           const TunerFactory& factory,
-                           const ModelTuneOptions& options);
-
-/// Compatibility: tunes against a raw GpuSpec (the historical single-backend
-/// spelling; identical to passing TargetSpec::from_gpu(spec)).
-ModelTuneReport tune_model(const Graph& graph, const GpuSpec& spec,
                            const TunerFactory& factory,
                            const ModelTuneOptions& options);
 
@@ -165,18 +163,5 @@ TuneResult tune_workload(const Workload& workload, const TargetSpec& target,
                          Tuner& tuner, const TuneOptions& options,
                          std::uint64_t device_seed,
                          const std::string& template_request = std::string());
-
-TuneResult tune_workload(const Workload& workload, const GpuSpec& spec,
-                         Tuner& tuner, const TuneOptions& options,
-                         std::uint64_t device_seed);
-
-/// Same, with the noise stream taken from the shared options
-/// (`options.device_seed`) — the natural spelling for SessionOptions-style
-/// callers.
-TuneResult tune_workload(const Workload& workload, const TargetSpec& target,
-                         Tuner& tuner, const TuneOptions& options);
-
-TuneResult tune_workload(const Workload& workload, const GpuSpec& spec,
-                         Tuner& tuner, const TuneOptions& options);
 
 }  // namespace aal

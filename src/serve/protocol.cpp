@@ -36,6 +36,7 @@ constexpr CodeName kCodeNames[] = {
     {ServeErrorCode::kBadTuner, "bad_tuner"},
     {ServeErrorCode::kShuttingDown, "shutting_down"},
     {ServeErrorCode::kInternalError, "internal_error"},
+    {ServeErrorCode::kLineTooLong, "line_too_long"},
 };
 
 std::int64_t expect_int(const TraceField& f) {

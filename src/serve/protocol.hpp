@@ -60,6 +60,7 @@ enum class ServeErrorCode : int {
   kBadTuner,         // submit "tuner" is not a registered tuner name
   kShuttingDown,     // submit after shutdown began
   kInternalError,    // unexpected server-side failure
+  kLineTooLong,      // a line exceeded the transport's length cap
 };
 
 /// Stable wire name of an op ("submit", ...).

@@ -38,7 +38,10 @@ sockaddr_un make_address(const std::string& path) {
 LineChannel::~LineChannel() { close(); }
 
 LineChannel::LineChannel(LineChannel&& other) noexcept
-    : fd_(other.fd_), buffer_(std::move(other.buffer_)) {
+    : fd_(other.fd_),
+      buffer_(std::move(other.buffer_)),
+      head_(other.head_),
+      scanned_(other.scanned_) {
   other.fd_ = -1;
 }
 
@@ -69,13 +72,29 @@ bool LineChannel::send_line(const std::string& line) {
 
 std::optional<std::string> LineChannel::recv_line() {
   while (true) {
-    const std::size_t pos = buffer_.find('\n');
+    // Only bytes not yet scanned are searched, and consumed lines advance
+    // head_ instead of shifting the buffer, so a pipelined burst costs time
+    // linear in its size.
+    const std::size_t pos = buffer_.find('\n', scanned_);
+    const std::size_t end = pos == std::string::npos ? buffer_.size() : pos;
+    if (end - head_ > kMaxLineBytes) {
+      std::string message = "no newline within ";
+      message += std::to_string(kMaxLineBytes);
+      message += " bytes";
+      throw ServeError(ServeErrorCode::kLineTooLong, message);
+    }
     if (pos != std::string::npos) {
-      std::string line = buffer_.substr(0, pos);
-      buffer_.erase(0, pos + 1);
+      std::string line = buffer_.substr(head_, pos - head_);
+      head_ = scanned_ = pos + 1;
       return line;
     }
+    scanned_ = buffer_.size();
     if (fd_ < 0) return std::nullopt;
+    // Drop consumed lines before reading more: the copy is only the
+    // unterminated tail, at most one line plus one chunk.
+    buffer_.erase(0, head_);
+    scanned_ -= head_;
+    head_ = 0;
     char chunk[4096];
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n < 0) {
@@ -141,7 +160,17 @@ void ServeSocketServer::serve_forever() {
 
 void ServeSocketServer::handle_connection(int fd) {
   LineChannel channel(fd);
-  while (std::optional<std::string> line = channel.recv_line()) {
+  while (true) {
+    std::optional<std::string> line;
+    try {
+      line = channel.recv_line();
+    } catch (const ServeError& e) {
+      // Over-long line: answer once, then close — the rest of the stream
+      // cannot be resynced to a line boundary.
+      channel.send_line(serve_error_line(-1, e.code(), e.what()));
+      return;
+    }
+    if (!line) return;
     ServeRequest req;
     bool is_stream = false;
     try {

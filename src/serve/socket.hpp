@@ -19,6 +19,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -35,6 +36,13 @@ namespace aal {
 /// the fd; movable, not copyable.
 class LineChannel {
  public:
+  /// Longest line (without its '\n') either side accepts. Requests are a
+  /// few hundred bytes — the longest field is a submit's model path — and a
+  /// trace frame wraps one escaped trace event of well under 4 KiB, so
+  /// 1 MiB never cuts a real frame while bounding what a peer that never
+  /// sends '\n' can make the daemon buffer.
+  static constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
   explicit LineChannel(int fd) : fd_(fd) {}
   ~LineChannel();
 
@@ -46,7 +54,10 @@ class LineChannel {
   /// Sends `line` plus '\n'. Returns false once the peer is gone.
   bool send_line(const std::string& line);
 
-  /// Next line without its '\n'; nullopt on EOF/reset.
+  /// Next line without its '\n'; nullopt on EOF/reset (a partial tail line
+  /// is dropped). Throws ServeError(kLineTooLong) once more than
+  /// kMaxLineBytes arrive without a '\n'; the stream cannot be resynced to
+  /// a line boundary after that, so the caller should close the channel.
   std::optional<std::string> recv_line();
 
   void close();
@@ -55,6 +66,8 @@ class LineChannel {
  private:
   int fd_ = -1;
   std::string buffer_;
+  std::size_t head_ = 0;     // start of the first unconsumed line
+  std::size_t scanned_ = 0;  // buffer_[head_, scanned_) holds no '\n'
 };
 
 /// The daemon's accept loop: one service thread per connection.

@@ -1,6 +1,5 @@
 #include "space/schedule_template.hpp"
 
-#include "space/template_registry.hpp"
 #include "support/common.hpp"
 
 namespace aal {
@@ -21,14 +20,6 @@ std::int64_t option_value(const ConfigSpace& space, const Config& config,
 }
 
 }  // namespace
-
-ConfigSpace build_config_space(const Workload& workload) {
-  // Deprecated shim: forwards to the registry's default ("cuda") template on
-  // the default target. A default-constructed TargetSpec is gpu-pascal — the
-  // CUDA template ignores the target anyway — so the produced space is
-  // byte-identical to the pre-registry builder on every code path.
-  return TemplateRegistry::instance().build(workload, TargetSpec{});
-}
 
 ConvSchedule decode_conv_schedule(const Workload& workload,
                                   const ConfigSpace& space,

@@ -20,16 +20,6 @@
 
 namespace aal {
 
-/// Builds the tuning space for a workload. Knob order is part of the
-/// contract with the decode functions below.
-///
-/// Deprecated: this is a compatibility shim that forwards to
-/// `TemplateRegistry::instance().build(workload, TargetSpec{})` — the "cuda"
-/// template on the default gpu-pascal target (space/template_registry.hpp).
-/// New code should go through the registry so the target's native template
-/// can be selected; the shim always yields the CUDA-shaped space.
-ConfigSpace build_config_space(const Workload& workload);
-
 /// Semantic view of a conv2d / depthwise-conv2d configuration.
 /// A 4-way split (a, b, c, d) of an axis maps to: a = blockIdx extent,
 /// b = virtual threads, c = threadIdx extent, d = per-thread serial extent.
@@ -73,8 +63,9 @@ struct DenseSchedule {
   std::int64_t per_thread_outputs() const { return vo * oi; }
 };
 
-/// Decodes a conv/depthwise config; requires the space built by
-/// build_config_space for the same workload.
+/// Decodes a conv/depthwise config; requires the space the "cuda" template
+/// (space/template_registry.hpp) built for the same workload. Knob order is
+/// part of that contract.
 ConvSchedule decode_conv_schedule(const Workload& workload,
                                   const ConfigSpace& space,
                                   const Config& config);

@@ -24,9 +24,8 @@ std::int64_t option_value(const ConfigSpace& space, const Config& config,
 
 // ---------------------------------------------------------------------------
 // "cuda" — the original CUDA-shaped template. Builds the exact knob layouts
-// build_config_space always produced (the shim forwards here), so spaces,
-// flat indices and feature encodings are byte-identical to the pre-registry
-// stack on every target.
+// of the pre-registry space builder, so spaces, flat indices and feature
+// encodings are byte-identical to the pre-registry stack on every target.
 // ---------------------------------------------------------------------------
 
 class CudaTemplate final : public ScheduleTemplate {

@@ -68,7 +68,7 @@ void ArgParser::parse(int argc, const char* const* argv) {
       if (flag->is_switch) {
         AAL_CHECK(!inline_value.has_value(),
                   "switch --" << name << " takes no value");
-        flag->value = "1";
+        flag->value.assign(1, '1');
       } else if (inline_value) {
         flag->value = *inline_value;
       } else {

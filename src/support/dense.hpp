@@ -3,7 +3,7 @@
 // The tuner's CPU time concentrates in a handful of dense linear-algebra
 // shapes: the pairwise-distance/Gram matrices behind TED and BTED
 // (Algorithms 1-2), the per-resample surrogate fits of BS/BAO (Algorithms
-// 3-4), and the k-means / MLP inner loops of the auxiliary models. Those
+// 3-4), and the MLP inner loops of the auxiliary surrogate. Those
 // hot loops share this layer instead of each carrying its own scalar
 // triple-loop: a flat row-major matrix, cache-blocked Gram / pairwise
 // squared-distance builders, unrolled dot/axpy, a one-pass Welford column
@@ -48,15 +48,14 @@ Matrix from_rows(const std::vector<std::vector<double>>& rows);
 /// Dot product with four independent accumulators (so the compiler can keep
 /// four vector lanes busy without reassociating a single serial sum). The
 /// summation order differs from a naive left-to-right loop; callers that
-/// need bit-stable streaming sums (k-means) use sq_dist/axpy instead.
+/// need bit-stable streaming sums use sq_dist/axpy instead.
 double dot(const double* a, const double* b, std::size_t n);
 
 /// y += alpha * x, sequential order (bitwise equal to the scalar loop).
 void axpy(double alpha, const double* x, double* y, std::size_t n);
 
 /// Squared Euclidean distance, accumulated in index order — bitwise equal
-/// to the classic scalar loop, so existing consumers (k-means) keep their
-/// exact numerical behavior.
+/// to the classic scalar loop (the pairwise_sq_dist_naive reference).
 double sq_dist(const double* a, const double* b, std::size_t n);
 
 /// Gram matrix out[i*n+j] = <x_i, x_j> for the n x d row-major `x`.

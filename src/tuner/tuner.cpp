@@ -20,7 +20,7 @@ std::vector<double> TuneResult::best_curve() const {
 
 void Tuner::begin(const Measurer& measurer, const TuneOptions& options) {
   (void)measurer;
-  obs_ = options.effective_obs();
+  obs_ = options.obs;
 }
 
 void Tuner::observe(std::span<const MeasureResult> results) { (void)results; }

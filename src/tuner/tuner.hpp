@@ -13,6 +13,7 @@
 // jobs=1.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -29,11 +30,20 @@ namespace aal {
 class MeasureBackend;
 struct TransferPrior;  // src/transfer: cross-run warm-start prior
 
-/// Policy-loop options. Composes the shared SessionOptions knobs — the
-/// session honors `budget`, `early_stopping`, `seed` and `cancel`;
-/// `device_seed`, `retry` and `faults` are inert here (they configure the
-/// measurer the caller builds separately).
-struct TuneOptions : SessionOptions {
+/// Policy-loop options, read by TuningSession and the policies it drives.
+/// The device's noise stream, retries and fault injection are not here:
+/// they configure the Device and Measurer the caller builds.
+struct TuneOptions {
+  /// Policy randomness stream (samplers, SA, bootstrap draws).
+  std::uint64_t seed = 1;
+
+  /// Measured-config budget and early-stopping patience (AutoTVM
+  /// semantics: budget caps distinct measured configs, early stopping
+  /// aborts after that many consecutive non-improving measurements;
+  /// 0 disables early stopping).
+  std::int64_t budget = 1024;
+  std::int64_t early_stopping = 400;
+
   int batch_size = 64;   // configs measured per optimization round
 
   /// Number of initial samples (AutoTVM default: 64).
@@ -52,17 +62,13 @@ struct TuneOptions : SessionOptions {
   /// policy, so every layer of the run reports through one handle.
   Obs obs;
 
-  /// The obs handle the session should actually use: `obs` when it carries
-  /// any receiver, otherwise one assembled from the shared `trace` /
-  /// `metrics` pointers — so embedders configuring only the SessionOptions
-  /// base still get observability without touching the Obs type.
-  Obs effective_obs() const {
-    if (obs.active()) return obs;
-    Obs out = obs;  // keeps the lane label
-    out.trace = trace;
-    out.metrics = metrics;
-    return out;
-  }
+  /// Cooperative cancellation flag (non-owning; may be null), checked once
+  /// per propose/measure/observe round: a raised flag stops the session at
+  /// the next round boundary with StopReason::kCancelled. Completed
+  /// measurements stay committed and the session_end event is still
+  /// emitted; a session that never observes a raised flag behaves (and
+  /// traces) exactly as if the field were null.
+  const std::atomic<bool>* cancel = nullptr;
 };
 
 struct TunePoint {

@@ -10,7 +10,7 @@ namespace {
 
 class BaoTest : public ::testing::Test {
  protected:
-  GpuSpec spec_ = GpuSpec::gtx1080ti();
+  TargetSpec spec_ = make_target("gpu-pascal");
   TuningTask task_{testing::small_conv_workload(), spec_};
 
   // Drives BaoSearch the way a session does: propose one config, measure

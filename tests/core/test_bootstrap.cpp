@@ -90,7 +90,7 @@ TEST(BootstrapEnsemble, ResamplesDifferPerModel) {
 }
 
 TEST(BootstrapSelect, PicksArgmaxOverCandidates) {
-  const GpuSpec spec = GpuSpec::gtx1080ti();
+  const TargetSpec spec = make_target("gpu-pascal");
   const TuningTask task(testing::small_conv_workload(), spec);
   Rng rng(5);
 
@@ -124,7 +124,7 @@ TEST(BootstrapSelect, EmptyCandidatesRejected) {
   const Dataset d = linear_dataset(20, rng);
   const RidgeSurrogateFactory factory;
   const BootstrapEnsemble ensemble(d, factory, 2, rng);
-  const GpuSpec spec = GpuSpec::gtx1080ti();
+  const TargetSpec spec = make_target("gpu-pascal");
   const TuningTask task(testing::small_conv_workload(), spec);
   EXPECT_THROW(bootstrap_select(ensemble, task.space(), {}), InvalidArgument);
 }
@@ -204,7 +204,9 @@ TEST(BootstrapEnsemble, ScoreConfigsCountsRowsAndHits) {
   const FirstFeatureFactory factory;
   BootstrapEnsemble ensemble(d, factory, 2, rng);
   MetricsRegistry metrics;
-  ensemble.set_obs(Obs{nullptr, &metrics});
+  Obs obs;
+  obs.metrics = &metrics;
+  ensemble.set_obs(obs);
 
   const std::vector<Config> first = space.sample_distinct(25, rng);
   ensemble.score_configs(space, {first.data(), first.size()});
@@ -237,7 +239,9 @@ TEST(BootstrapSelect, RepeatedSelectionHitsCacheAndAgrees) {
   const FirstFeatureFactory factory;
   BootstrapEnsemble ensemble(d, factory, 2, rng);
   MetricsRegistry metrics;
-  ensemble.set_obs(Obs{nullptr, &metrics});
+  Obs obs;
+  obs.metrics = &metrics;
+  ensemble.set_obs(obs);
 
   const std::vector<Config> candidates = space.sample_distinct(40, rng);
   const std::size_t a = bootstrap_select(ensemble, space, candidates);

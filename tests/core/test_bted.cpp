@@ -12,7 +12,7 @@ namespace {
 
 class BtedTest : public ::testing::Test {
  protected:
-  GpuSpec spec_ = GpuSpec::gtx1080ti();
+  TargetSpec spec_ = make_target("gpu-pascal");
   TuningTask task_{testing::small_conv_workload(), spec_};
 };
 

@@ -5,6 +5,7 @@
 #include "graph/fusion.hpp"
 #include "space/schedule_template.hpp"
 #include "support/common.hpp"
+#include "space/template_registry.hpp"
 
 namespace aal {
 namespace {
@@ -143,7 +144,7 @@ TEST(Models, AverageSpaceSizeTensOfMillions) {
   for (const auto& t : tasks) {
     if (!t.workload.is_conv()) continue;
     total += static_cast<double>(
-        build_config_space(t.workload).size());
+        TemplateRegistry::instance().build(t.workload, TargetSpec{}).size());
     ++counted;
   }
   EXPECT_GT(total / counted, 1e7);

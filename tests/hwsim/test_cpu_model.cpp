@@ -12,6 +12,7 @@
 #include "hwsim/device_model.hpp"
 #include "space/schedule_template.hpp"
 #include "test_util.hpp"
+#include "space/template_registry.hpp"
 
 namespace aal {
 namespace {
@@ -22,7 +23,7 @@ class CpuModelTest : public ::testing::TestWithParam<Workload> {
       : workload_(GetParam()),
         target_(make_target("cpu-simd")),
         model_(workload_, target_),
-        space_(build_config_space(workload_)) {}
+        space_(TemplateRegistry::instance().build(workload_, TargetSpec{})) {}
 
   Workload workload_;
   TargetSpec target_;
@@ -75,7 +76,8 @@ TEST_P(CpuModelTest, PrunedConfigsAlwaysProfileInvalid) {
   // Model/constraint coherence: any config a constraint rejects must also
   // fail to profile, so pruning can only skip configs that were worthless
   // anyway — the best valid schedule is always feasible.
-  ConfigSpace constrained = build_config_space(workload_);
+  ConfigSpace constrained =
+      TemplateRegistry::instance().build(workload_, TargetSpec{});
   constrained.set_constraints(model_.constraints());
   Rng rng(11);
   int pruned = 0;
@@ -92,7 +94,8 @@ TEST_P(CpuModelTest, PrunedConfigsAlwaysProfileInvalid) {
 }
 
 TEST_P(CpuModelTest, BestSampledScheduleIsNeverPruned) {
-  ConfigSpace constrained = build_config_space(workload_);
+  ConfigSpace constrained =
+      TemplateRegistry::instance().build(workload_, TargetSpec{});
   constrained.set_constraints(model_.constraints());
   Rng rng(13);
   double best_gflops = 0.0;

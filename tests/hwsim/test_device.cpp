@@ -7,6 +7,7 @@
 
 #include "support/stats.hpp"
 #include "test_util.hpp"
+#include "space/template_registry.hpp"
 
 namespace aal {
 namespace {
@@ -25,9 +26,10 @@ KernelProfile find_valid_profile(const KernelModel& model,
 class DeviceTest : public ::testing::Test {
  protected:
   Workload workload_ = testing::small_conv_workload();
-  GpuSpec spec_ = GpuSpec::gtx1080ti();
-  KernelModel model_{workload_, spec_};
-  ConfigSpace space_ = build_config_space(workload_);
+  TargetSpec spec_ = make_target("gpu-pascal");
+  KernelModel model_{workload_, spec_.gpu};
+  ConfigSpace space_ =
+      TemplateRegistry::instance().build(workload_, TargetSpec{});
   KernelProfile profile_ = find_valid_profile(model_, space_);
 };
 

@@ -12,6 +12,7 @@
 #include "hwsim/device_model.hpp"
 #include "space/schedule_template.hpp"
 #include "test_util.hpp"
+#include "space/template_registry.hpp"
 
 namespace aal {
 namespace {
@@ -22,7 +23,7 @@ class FpgaModelTest : public ::testing::TestWithParam<Workload> {
       : workload_(GetParam()),
         target_(make_target("fpga-systolic")),
         model_(workload_, target_),
-        space_(build_config_space(workload_)) {}
+        space_(TemplateRegistry::instance().build(workload_, TargetSpec{})) {}
 
   Workload workload_;
   TargetSpec target_;
@@ -73,7 +74,8 @@ TEST_P(FpgaModelTest, ConstraintsAreNamedAndFpgaPrefixed) {
 }
 
 TEST_P(FpgaModelTest, PrunedConfigsAlwaysProfileInvalid) {
-  ConfigSpace constrained = build_config_space(workload_);
+  ConfigSpace constrained =
+      TemplateRegistry::instance().build(workload_, TargetSpec{});
   constrained.set_constraints(model_.constraints());
   Rng rng(11);
   int pruned = 0;
@@ -89,7 +91,8 @@ TEST_P(FpgaModelTest, PrunedConfigsAlwaysProfileInvalid) {
 }
 
 TEST_P(FpgaModelTest, BestSampledMappingIsNeverPruned) {
-  ConfigSpace constrained = build_config_space(workload_);
+  ConfigSpace constrained =
+      TemplateRegistry::instance().build(workload_, TargetSpec{});
   constrained.set_constraints(model_.constraints());
   Rng rng(13);
   double best_gflops = 0.0;
@@ -109,7 +112,8 @@ TEST_P(FpgaModelTest, BestSampledMappingIsNeverPruned) {
 TEST_P(FpgaModelTest, ConstrainedSamplingOnlyYieldsFeasiblePoints) {
   // The systolic array prunes hard (most of the CUDA-shaped space exceeds
   // its capacity walls); what sampling returns must all be feasible.
-  ConfigSpace constrained = build_config_space(workload_);
+  ConfigSpace constrained =
+      TemplateRegistry::instance().build(workload_, TargetSpec{});
   constrained.set_constraints(model_.constraints());
   Rng rng(17);
   const auto sampled = constrained.sample_distinct(200, rng);

@@ -90,6 +90,23 @@ TEST(Target, DistinctCustomGpusGetDistinctFingerprintedNames) {
   EXPECT_EQ(name_a, TargetSpec::from_gpu(a).name);
 }
 
+TEST(Target, FromGpuKeepsRegistryNamesForExactSpecsOnly) {
+  // A registered device name with changed numbers is a different machine:
+  // mapping it to "gpu-pascal" would file its records under the real
+  // Pascal's store keys and feed them into Pascal transfer priors.
+  for (const char* name : {"gpu-pascal", "gpu-volta", "gpu-embedded"}) {
+    GpuSpec faster = make_target(name).gpu;
+    faster.dram_bw_gbps *= 2;
+    const TargetSpec wrapped = TargetSpec::from_gpu(faster);
+    EXPECT_TRUE(wrapped.name.starts_with("gpu-custom-")) << wrapped.name;
+    EXPECT_EQ(wrapped.device_name, faster.name);
+    EXPECT_DOUBLE_EQ(wrapped.gpu.dram_bw_gbps, faster.dram_bw_gbps);
+  }
+  GpuSpec fewer_sms = GpuSpec::gtx1080ti();
+  fewer_sms.num_sms -= 4;
+  EXPECT_NE(TargetSpec::from_gpu(fewer_sms).name, "gpu-pascal");
+}
+
 TEST(Target, DefaultTargetMatchesHistoricalPascalSpec) {
   // The compatibility contract: the registry's gpu-pascal and the from_gpu
   // wrapping of GpuSpec::gtx1080ti() describe the same machine, so the

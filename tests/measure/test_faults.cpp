@@ -74,9 +74,9 @@ TEST(FaultyDevice, SpecReferenceIsStableThroughDecoratorChains) {
   EXPECT_EQ(two.spec().kind, TargetKind::kCpu);
   EXPECT_DOUBLE_EQ(two.spec().peak_gflops(), inner.spec().peak_gflops());
 
-  // The GpuSpec compatibility constructor owns its converted TargetSpec the
-  // same way (the conversion result must not be a dangling temporary).
-  SimulatedDevice gpu_device(GpuSpec::gtx1080ti(), 5);
+  // A device built from a temporary TargetSpec owns its copy the same way
+  // (the spec must not dangle once the temporary is gone).
+  SimulatedDevice gpu_device(make_target("gpu-pascal"), 5);
   FaultyDevice wrapped(gpu_device, mixed_plan(0.3, 2));
   EXPECT_EQ(&wrapped.spec(), &gpu_device.spec());
   EXPECT_EQ(wrapped.spec().name, "gpu-pascal");
@@ -150,7 +150,7 @@ TEST(FaultPlan, SpecRejectsMalformedInput) {
 
 class FaultyDeviceTest : public ::testing::Test {
  protected:
-  GpuSpec spec_ = GpuSpec::gtx1080ti();
+  TargetSpec spec_ = make_target("gpu-pascal");
   TuningTask task_{testing::small_conv_workload(), spec_};
 
   /// First space flat with a valid (buildable) profile.
@@ -225,7 +225,7 @@ TEST_F(FaultyDeviceTest, PermanentBuildErrorsPassThroughUninjected) {
 
 class MeasureFaultsTest : public ::testing::Test {
  protected:
-  GpuSpec spec_ = GpuSpec::gtx1080ti();
+  TargetSpec spec_ = make_target("gpu-pascal");
   TuningTask task_{testing::small_conv_workload(), spec_};
 
   MeasureOptions retry_options(int max_attempts) const {
@@ -401,7 +401,7 @@ class FaultSweepTest : public ::testing::TestWithParam<SweepCase> {
   void SetUp() override { set_log_threshold(LogLevel::kWarn); }
   void TearDown() override { set_log_threshold(LogLevel::kInfo); }
 
-  GpuSpec spec_ = GpuSpec::gtx1080ti();
+  TargetSpec spec_ = make_target("gpu-pascal");
 
   TuneOptions session_options() const {
     TuneOptions options;

@@ -6,6 +6,7 @@
 
 #include "space/schedule_template.hpp"
 #include "test_util.hpp"
+#include "space/template_registry.hpp"
 
 namespace aal {
 namespace {
@@ -49,7 +50,9 @@ TEST(SaOptimizer, TopKSortedAndDistinct) {
   std::unordered_set<std::int64_t> flats;
   for (std::size_t i = 0; i < top.size(); ++i) {
     EXPECT_TRUE(flats.insert(top[i].flat).second);
-    if (i > 0) EXPECT_GE(score(top[i - 1]), score(top[i]));
+    if (i > 0) {
+      EXPECT_GE(score(top[i - 1]), score(top[i]));
+    }
   }
 }
 
@@ -84,7 +87,7 @@ TEST(SaOptimizer, DeterministicGivenRngState) {
 
 TEST(SaOptimizer, WorksOnRealScheduleSpace) {
   const Workload w = testing::small_conv_workload();
-  const ConfigSpace space = build_config_space(w);
+  const ConfigSpace space = TemplateRegistry::instance().build(w, TargetSpec{});
   // A deterministic smooth-ish score: prefer mid-range flat indices.
   const auto score = [&](const Config& c) {
     const double x =

@@ -12,7 +12,7 @@
 //
 // To regenerate the golden file after an *intentional* schema change:
 //
-//   AAL_REGEN_GOLDEN=1 ./build/tests/aaltune_tests \
+//   AAL_REGEN_GOLDEN=1 ./build/tests/aaltune_tests
 //       --gtest_filter='ObsGoldenTrace.*'
 //
 // then review the diff of tests/obs/golden/dense_bao_trace.jsonl like any
@@ -70,8 +70,8 @@ FaultPlan golden_fault_plan() {
 std::string run_traced_session(MeasureBackend* backend,
                                const FaultPlan* faults = nullptr,
                                std::vector<TunePoint>* history_out = nullptr) {
-  TuningTask task(testing::small_dense_workload(), GpuSpec::gtx1080ti());
-  SimulatedDevice device(GpuSpec::gtx1080ti(), 2024);
+  TuningTask task(testing::small_dense_workload(), make_target("gpu-pascal"));
+  SimulatedDevice device(make_target("gpu-pascal"), 2024);
   std::optional<FaultyDevice> faulty;
   if (faults != nullptr) faulty.emplace(device, *faults);
   MeasureOptions measure_options;
@@ -227,7 +227,7 @@ TEST_F(ObsGoldenTrace, ModelTraceIsInvariantAcrossJobs) {
     options.use_transfer = false;  // every task its own lane
     options.jobs = jobs;
     options.trace = &sink;
-    tune_model(testing::tiny_cnn(), GpuSpec::gtx1080ti(),
+    tune_model(testing::tiny_cnn(), make_target("gpu-pascal"),
                random_tuner_factory(), options);
     return sink.to_jsonl();
   };

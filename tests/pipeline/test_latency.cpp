@@ -14,7 +14,7 @@ class LatencyTest : public ::testing::Test {
   void SetUp() override { set_log_threshold(LogLevel::kWarn); }
   void TearDown() override { set_log_threshold(LogLevel::kInfo); }
 
-  GpuSpec spec_ = GpuSpec::gtx1080ti();
+  TargetSpec spec_ = make_target("gpu-pascal");
   Graph graph_ = testing::tiny_cnn();
 };
 

@@ -14,7 +14,7 @@ class ModelTunerTest : public ::testing::Test {
   void SetUp() override { set_log_threshold(LogLevel::kWarn); }
   void TearDown() override { set_log_threshold(LogLevel::kInfo); }
 
-  GpuSpec spec_ = GpuSpec::gtx1080ti();
+  TargetSpec spec_ = make_target("gpu-pascal");
 
   ModelTuneOptions quick_options() {
     ModelTuneOptions o;
@@ -91,7 +91,7 @@ TEST_F(ModelTunerTest, ResumeFromRecordsMakesHistoryFree) {
   RecordDatabase db;
   for (const auto& t : first.tasks) {
     for (const auto& p : t.result.history) {
-      db.add(TuningRecord{t.task_key, p.flat, p.ok, p.gflops, 0.0});
+      db.add(TuningRecord{t.task_key, p.flat, p.ok, p.gflops, 0.0, ""});
     }
   }
 

@@ -22,6 +22,7 @@ constexpr ServeErrorCode kAllCodes[] = {
     ServeErrorCode::kQueueFull,       ServeErrorCode::kBadModel,
     ServeErrorCode::kBadTarget,       ServeErrorCode::kBadTuner,
     ServeErrorCode::kShuttingDown,    ServeErrorCode::kInternalError,
+    ServeErrorCode::kLineTooLong,
 };
 
 /// Parses `line` expecting a typed rejection; returns the code.
@@ -216,16 +217,23 @@ TEST(ServingDocs, EveryExampleLineRoundTripsThroughTheCodec) {
   EXPECT_GE(responses, 8);
 }
 
+/// `name` in Markdown code quotes, as the doc's tables spell it.
+std::string code_quoted(const char* name) {
+  std::string quoted = "`";
+  quoted += name;
+  quoted += '`';
+  return quoted;
+}
+
 TEST(ServingDocs, EveryOpAndErrorCodeIsDocumented) {
   const std::string doc = read_serving_doc();
   EXPECT_NE(doc.find(kServeProtocolVersion), std::string::npos);
   for (const ServeOp op : kAllOps) {
-    EXPECT_NE(doc.find("`" + std::string(serve_op_name(op)) + "`"),
-              std::string::npos)
+    EXPECT_NE(doc.find(code_quoted(serve_op_name(op))), std::string::npos)
         << "op not documented: " << serve_op_name(op);
   }
   for (const ServeErrorCode code : kAllCodes) {
-    EXPECT_NE(doc.find("`" + std::string(serve_error_code_name(code)) + "`"),
+    EXPECT_NE(doc.find(code_quoted(serve_error_code_name(code))),
               std::string::npos)
         << "error code not documented: " << serve_error_code_name(code);
   }

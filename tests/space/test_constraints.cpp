@@ -11,6 +11,7 @@
 #include "measure/tuning_task.hpp"
 #include "space/config_space.hpp"
 #include "test_util.hpp"
+#include "space/template_registry.hpp"
 
 namespace aal {
 namespace {
@@ -150,7 +151,8 @@ TEST(SpaceConstraints, PruningIsPureInTargetSpec) {
   const Workload workload = testing::small_conv_workload();
   const TuningTask a(workload, make_target("cpu-simd"));
   const TuningTask b(workload, make_target("cpu-simd"));
-  const ConfigSpace full = build_config_space(workload);
+  const ConfigSpace full =
+      TemplateRegistry::instance().build(workload, TargetSpec{});
   Rng rng(13);
   const auto probes = full.sample_distinct(300, rng);
   for (auto it = probes.rbegin(); it != probes.rend(); ++it) {

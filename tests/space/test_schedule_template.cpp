@@ -5,13 +5,14 @@
 #include "graph/fusion.hpp"
 #include "graph/models.hpp"
 #include "test_util.hpp"
+#include "space/template_registry.hpp"
 
 namespace aal {
 namespace {
 
 TEST(ScheduleTemplate, ConvSpaceKnobLayout) {
   const Workload w = testing::small_conv_workload();
-  const ConfigSpace space = build_config_space(w);
+  const ConfigSpace space = TemplateRegistry::instance().build(w, TargetSpec{});
   ASSERT_EQ(space.num_knobs(), 8u);
   EXPECT_EQ(space.knob(0).name(), "tile_f");
   EXPECT_EQ(space.knob(3).name(), "tile_rc");
@@ -21,7 +22,7 @@ TEST(ScheduleTemplate, ConvSpaceKnobLayout) {
 
 TEST(ScheduleTemplate, DepthwiseSpaceHasNoChannelReduction) {
   const Workload w = testing::small_depthwise_workload();
-  const ConfigSpace space = build_config_space(w);
+  const ConfigSpace space = TemplateRegistry::instance().build(w, TargetSpec{});
   ASSERT_EQ(space.num_knobs(), 7u);
   EXPECT_EQ(space.knob(0).name(), "tile_c");
   for (std::size_t i = 0; i < space.num_knobs(); ++i) {
@@ -31,7 +32,7 @@ TEST(ScheduleTemplate, DepthwiseSpaceHasNoChannelReduction) {
 
 TEST(ScheduleTemplate, DenseSpaceKnobs) {
   const Workload w = testing::small_dense_workload();
-  const ConfigSpace space = build_config_space(w);
+  const ConfigSpace space = TemplateRegistry::instance().build(w, TargetSpec{});
   ASSERT_EQ(space.num_knobs(), 4u);
   EXPECT_EQ(space.knob(0).name(), "tile_y");
   EXPECT_EQ(space.knob(1).name(), "tile_k");
@@ -42,14 +43,15 @@ TEST(ScheduleTemplate, VggFirstNodeMatchesPaperScale) {
   // 0.2 billion configuration points".
   const auto tasks = extract_tasks(fuse(make_vgg16()));
   ASSERT_FALSE(tasks.empty());
-  const ConfigSpace space = build_config_space(tasks[0].workload);
+  const ConfigSpace space =
+      TemplateRegistry::instance().build(tasks[0].workload, TargetSpec{});
   EXPECT_EQ(space.size(), 202309632);  // 84 * 224 * 224 * 2*2*2 * 3 * 2
 }
 
 TEST(ScheduleTemplate, ConvDecodeProductsMatchExtents) {
   const Workload w = testing::small_conv_workload();
   const Conv2dWorkload& c = w.as_conv2d();
-  const ConfigSpace space = build_config_space(w);
+  const ConfigSpace space = TemplateRegistry::instance().build(w, TargetSpec{});
   Rng rng(3);
   for (int i = 0; i < 50; ++i) {
     const Config config = space.sample(rng);
@@ -66,7 +68,7 @@ TEST(ScheduleTemplate, ConvDecodeProductsMatchExtents) {
 TEST(ScheduleTemplate, DepthwiseDecodeProducts) {
   const Workload w = testing::small_depthwise_workload();
   const Conv2dWorkload& c = w.as_conv2d();
-  const ConfigSpace space = build_config_space(w);
+  const ConfigSpace space = TemplateRegistry::instance().build(w, TargetSpec{});
   Rng rng(5);
   for (int i = 0; i < 50; ++i) {
     const Config config = space.sample(rng);
@@ -81,7 +83,7 @@ TEST(ScheduleTemplate, DepthwiseDecodeProducts) {
 TEST(ScheduleTemplate, DenseDecodeProducts) {
   const Workload w = testing::small_dense_workload();
   const DenseWorkload& d = w.as_dense();
-  const ConfigSpace space = build_config_space(w);
+  const ConfigSpace space = TemplateRegistry::instance().build(w, TargetSpec{});
   Rng rng(7);
   for (int i = 0; i < 50; ++i) {
     const Config config = space.sample(rng);
@@ -94,8 +96,10 @@ TEST(ScheduleTemplate, DenseDecodeProducts) {
 TEST(ScheduleTemplate, DecodeRejectsWrongKind) {
   const Workload conv = testing::small_conv_workload();
   const Workload dense = testing::small_dense_workload();
-  const ConfigSpace conv_space = build_config_space(conv);
-  const ConfigSpace dense_space = build_config_space(dense);
+  const ConfigSpace conv_space =
+      TemplateRegistry::instance().build(conv, TargetSpec{});
+  const ConfigSpace dense_space =
+      TemplateRegistry::instance().build(dense, TargetSpec{});
   Rng rng(9);
   EXPECT_THROW(decode_dense_schedule(conv, conv_space, conv_space.sample(rng)),
                InvalidArgument);
@@ -105,7 +109,7 @@ TEST(ScheduleTemplate, DecodeRejectsWrongKind) {
 
 TEST(ScheduleTemplate, ScheduleHelpers) {
   const Workload w = testing::small_conv_workload();
-  const ConfigSpace space = build_config_space(w);
+  const ConfigSpace space = TemplateRegistry::instance().build(w, TargetSpec{});
   Rng rng(11);
   const Config config = space.sample(rng);
   const ConvSchedule s = decode_conv_schedule(w, space, config);
@@ -121,7 +125,8 @@ class SpaceSizeProperty : public ::testing::TestWithParam<const char*> {};
 TEST_P(SpaceSizeProperty, SizeEqualsKnobProduct) {
   const auto tasks = extract_tasks(fuse(make_model(GetParam())));
   for (const auto& t : tasks) {
-    const ConfigSpace space = build_config_space(t.workload);
+    const ConfigSpace space =
+        TemplateRegistry::instance().build(t.workload, TargetSpec{});
     std::int64_t product = 1;
     for (std::size_t i = 0; i < space.num_knobs(); ++i) {
       product *= space.knob(i).size();

@@ -1,7 +1,7 @@
 // TemplateRegistry API: request resolution (aliases, exact names, family
-// validation), the build_config_space compatibility shim, and the template
-// qualification of task keys. The per-template decode/feasibility property
-// suites live in test_native_templates.cpp.
+// validation), the default request's byte-compat with the cuda template, and
+// the template qualification of task keys. The per-template
+// decode/feasibility property suites live in test_native_templates.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -96,25 +96,27 @@ TEST(TemplateRegistry, TemplateNamesForKindMatchServes) {
             (std::vector<std::string>{"cuda", "systolic"}));
 }
 
-TEST(TemplateRegistry, ShimBuildsTheSameSpaceAsTheCudaTemplate) {
-  // build_config_space is a deprecated forwarding shim; it must agree with
-  // the registry's cuda template knob for knob and decode to identical
-  // schedules — the byte-compat contract behind the golden traces.
+TEST(TemplateRegistry, DefaultRequestBuildsTheCudaSpaceOnEveryTarget) {
+  // The default request on any target must agree with the cuda template on
+  // gpu-pascal knob for knob and decode to identical schedules — the
+  // byte-compat contract behind the golden traces.
   const TemplateRegistry& reg = TemplateRegistry::instance();
   const ScheduleTemplate& cuda = reg.get(kDefaultTemplateName);
-  for (const Workload& w : all_test_workloads()) {
-    const ConfigSpace shim = build_config_space(w);
-    const ConfigSpace direct = cuda.build(w, TargetSpec{});
-    ASSERT_EQ(shim.size(), direct.size()) << w.key();
-    ASSERT_EQ(shim.num_knobs(), direct.num_knobs()) << w.key();
-    for (std::size_t k = 0; k < shim.num_knobs(); ++k) {
-      EXPECT_EQ(shim.knob(k).name(), direct.knob(k).name());
-      EXPECT_EQ(shim.knob(k).size(), direct.knob(k).size());
-    }
-    Rng rng(17);
-    for (int i = 0; i < 32; ++i) {
-      const Config c = shim.sample(rng);
-      EXPECT_EQ(shim.to_string(c), direct.to_string(direct.at(c.flat)));
+  for (const std::string& target : target_names()) {
+    for (const Workload& w : all_test_workloads()) {
+      const ConfigSpace built = reg.build(w, make_target(target));
+      const ConfigSpace direct = cuda.build(w, TargetSpec{});
+      ASSERT_EQ(built.size(), direct.size()) << target << ' ' << w.key();
+      ASSERT_EQ(built.num_knobs(), direct.num_knobs()) << w.key();
+      for (std::size_t k = 0; k < built.num_knobs(); ++k) {
+        EXPECT_EQ(built.knob(k).name(), direct.knob(k).name());
+        EXPECT_EQ(built.knob(k).size(), direct.knob(k).size());
+      }
+      Rng rng(17);
+      for (int i = 0; i < 32; ++i) {
+        const Config c = built.sample(rng);
+        EXPECT_EQ(built.to_string(c), direct.to_string(direct.at(c.flat)));
+      }
     }
   }
 }

@@ -66,7 +66,9 @@ TEST(TextTable, RendersAlignedGrid) {
   const auto lines = split(s, '\n');
   std::size_t width = lines[0].size();
   for (const auto& line : lines) {
-    if (!line.empty()) EXPECT_EQ(line.size(), width);
+    if (!line.empty()) {
+      EXPECT_EQ(line.size(), width);
+    }
   }
 }
 

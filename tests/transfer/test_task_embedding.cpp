@@ -115,8 +115,13 @@ class TaskIndexStoreTest : public ::testing::Test {
     const TargetSpec target = make_target("gpu-volta");
     std::vector<std::string> out;
     for (const PriorTask& t : index.nearest(query, target, 8, 1e9)) {
-      std::string line = t.task_key + "|" + std::to_string(t.distance);
-      for (double v : t.embedding) line += "," + std::to_string(v);
+      std::string line = t.task_key;
+      line += '|';
+      line += std::to_string(t.distance);
+      for (double v : t.embedding) {
+        line += ',';
+        line += std::to_string(v);
+      }
       out.push_back(std::move(line));
     }
     return out;

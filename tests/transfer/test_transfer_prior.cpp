@@ -20,6 +20,7 @@
 #include "support/logging.hpp"
 #include "transfer/transfer_prior.hpp"
 #include "test_util.hpp"
+#include "space/template_registry.hpp"
 
 namespace aal {
 namespace {
@@ -62,7 +63,8 @@ class TransferPriorTest : public ::testing::Test {
   static void seed_history(RecordStore& store, const Workload& w,
                            const TargetSpec& target, int n, bool ok = true) {
     const std::string key = TuningTask::key_for(w, target);
-    const std::int64_t size = build_config_space(w).size();
+    const std::int64_t size =
+        TemplateRegistry::instance().build(w, TargetSpec{}).size();
     for (int i = 0; i < n; ++i) {
       const std::int64_t flat = (i * 37) % size;
       store.append(TuningRecord{key, flat, ok, ok ? 100.0 + i : 0.0, 10.0,
@@ -132,7 +134,8 @@ TEST_F(TransferPriorTest, LegacyBareKeysResolveToDefaultTargetOnly) {
   {
     RecordStore store(dir_);
     const std::string bare_key = sibling_conv().key();  // no "@target"
-    const std::int64_t size = build_config_space(sibling_conv()).size();
+    const std::int64_t size =
+        TemplateRegistry::instance().build(sibling_conv(), TargetSpec{}).size();
     for (int i = 0; i < 64; ++i) {
       store.append(
           TuningRecord{bare_key, (i * 37) % size, true, 100.0 + i, 10.0, ""});
@@ -218,7 +221,7 @@ class TransferColdPathTest : public TransferPriorTest {
     options.store = &store;
     options.trace = &sink;
     options.transfer.enabled = transfer_enabled;
-    tune_model(testing::tiny_cnn(), GpuSpec::gtx1080ti(),
+    tune_model(testing::tiny_cnn(), make_target("gpu-pascal"),
                bted_bao_tuner_factory(), options);
     return sink.to_jsonl();
   }

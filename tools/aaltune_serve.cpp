@@ -1,6 +1,6 @@
 // aaltune_serve: the tuning-as-a-service daemon.
 //
-//   aaltune_serve --socket /run/aaltune.sock --workers 4 \
+//   aaltune_serve --socket /run/aaltune.sock --workers 4
 //                 --measure-threads 8 --store /var/lib/aaltune/store
 //
 // Accepts tuning jobs over a Unix-domain socket speaking the line-
